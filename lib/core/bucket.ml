@@ -76,23 +76,23 @@ let update t item g =
     insert t item g
   end
 
+(* Once per applied F-M move: loops over refs rather than local recursive
+   functions, which would be closures allocated per call (and per slot). *)
 let find_best t pred =
   (* Lower the top pointer past empty slots lazily. *)
   while t.top >= 0 && t.heads.(t.top) < 0 do
     t.top <- t.top - 1
   done;
-  let rec scan s =
-    if s < 0 then None
-    else begin
-      let rec walk item =
-        if item < 0 then scan (s - 1)
-        else if pred item then Some item
-        else walk t.next.(item)
-      in
-      walk t.heads.(s)
-    end
-  in
-  scan t.top
+  let found = ref (-1) in
+  let s = ref t.top in
+  while !found < 0 && !s >= 0 do
+    let item = ref t.heads.(!s) in
+    while !found < 0 && !item >= 0 do
+      if pred !item then found := !item else item := t.next.(!item)
+    done;
+    decr s
+  done;
+  if !found < 0 then None else Some !found
 
 let clear t =
   Array.fill t.heads 0 (Array.length t.heads) (-1);

@@ -20,7 +20,6 @@ type config = {
   area_ok : int -> int -> bool;
   score : Partition_state.t -> score;
   should_stop : unit -> bool;
-  gain_mode : [ `Eager | `Lazy ];
   oracle : bool;
   active : int -> bool;
 }
@@ -29,8 +28,8 @@ module Config = struct
   type t = config
 
   let make ?(objective = Cut) ?(replication = `None) ?(max_passes = 12)
-      ?(should_stop = never_stop) ?(gain_mode = `Eager) ?(oracle = false)
-      ?(active = every_cell) ~area_ok ~score () =
+      ?(should_stop = never_stop) ?(oracle = false) ?(active = every_cell)
+      ~area_ok ~score () =
     if max_passes <= 0 then
       invalid_arg
         (Printf.sprintf "Fm.Config.make: max_passes must be positive (got %d)"
@@ -42,7 +41,6 @@ module Config = struct
       area_ok;
       score;
       should_stop;
-      gain_mode;
       oracle;
       active;
     }
@@ -58,11 +56,11 @@ let env_oracle =
     | _ -> false)
 
 let balance_config ?(objective = Cut) ?(replication = `None) ?(max_passes = 12)
-    ?(gain_mode = `Eager) ?(slack = 0.10) ~total_area () =
+    ?(slack = 0.10) ~total_area () =
   let cap =
     int_of_float (ceil ((1.0 +. slack) *. float_of_int total_area /. 2.0))
   in
-  Config.make ~objective ~replication ~max_passes ~gain_mode
+  Config.make ~objective ~replication ~max_passes
     ~area_ok:(fun a b -> a <= cap && b <= cap)
     ~score:(fun st ->
       let a = Partition_state.area st Partition_state.A in
@@ -164,12 +162,6 @@ let is_replication_op ~old_mask ~new_mask ~full =
     ((Bitvec.is_empty old_mask && Bitvec.equal new_mask full)
     || (Bitvec.equal old_mask full && Bitvec.is_empty new_mask))
 
-(* Raised (and caught) inside find_best when a lazy rescore moved the
-   inspected item to another slot: the intrusive lists were relinked under
-   the scan, so the scan restarts from the top. A constant exception —
-   raising it allocates nothing. *)
-exception Relocated
-
 let run ?(obs = Obs.noop) cfg st =
   let hg = Partition_state.hypergraph st in
   let n = Hypergraph.num_cells hg in
@@ -177,7 +169,6 @@ let run ?(obs = Obs.noop) cfg st =
   let bucket = Bucket.create ~num_items:n ~max_gain in
   let observing = Obs.enabled obs in
   let oracle = cfg.oracle || Lazy.force env_oracle in
-  let lazy_gains = cfg.gain_mode = `Lazy in
   let pass_idx = ref 0 in
   (* The chosen op per cell, unpacked into int arrays (Bitvec.t = int;
      masks are >= 0, so op_mask = -1 encodes "no candidate"): rescoring in
@@ -195,7 +186,6 @@ let run ?(obs = Obs.noop) cfg st =
      move, not once per shared net. *)
   let stamp = Array.make n (-1) in
   let epoch = ref 0 in
-  let dirty = Array.make n false in
   let sc = Partition_state.make_scratch () in
   (* Best-candidate registers written by [consider]; hoisting the closure
      out of the loop keeps candidate evaluation allocation-free. *)
@@ -253,49 +243,29 @@ let run ?(obs = Obs.noop) cfg st =
          (Partition_state.area st Partition_state.A + op_da.(cell))
          (Partition_state.area st Partition_state.B + op_db.(cell))
   in
-  let clamp g =
-    if g > max_gain then max_gain else if g < -max_gain then -max_gain else g
-  in
   (* Bucket-scan length: how many candidates find_best inspected before
-     one passed the legality predicate (accumulated across lazy-rescore
-     restarts). Observed into a histogram only when a sink listens. *)
+     one passed the legality predicate. Observed into a histogram only
+     when a sink listens. *)
   let scanned = ref 0 in
   let select_pred cell =
     Stdlib.incr scanned;
-    if lazy_gains && dirty.(cell) then begin
-      dirty.(cell) <- false;
-      let old_slot = clamp op_gain.(cell) in
-      Stdlib.incr rescored;
-      rescore cell;
-      if op_mask.(cell) < 0 || clamp op_gain.(cell) <> old_slot then
-        raise Relocated
-    end;
     legal cell
-  in
-  let rec scan_best () =
-    match Bucket.find_best bucket select_pred with
-    | r -> r
-    | exception Relocated -> scan_best ()
   in
   let find_best () =
     if observing then begin
       scanned := 0;
-      let r = scan_best () in
+      let r = Bucket.find_best bucket select_pred in
       Obs.observe obs "fm.scan_len" !scanned;
       r
     end
-    else scan_best ()
+    else Bucket.find_best bucket legal
   in
-  (* Visit one cell of a state-changed net: rescore now (eager) or mark
-     dirty for a pop-time rescore in select_pred (lazy). *)
+  (* Visit one cell of a state-changed net: rescore it, once per move. *)
   let visit_cell cell =
     if (not locked.(cell)) && stamp.(cell) <> !epoch then begin
       stamp.(cell) <- !epoch;
-      if lazy_gains && Bucket.mem bucket cell then dirty.(cell) <- true
-      else begin
-        Stdlib.incr rescored;
-        rescore cell
-      end
+      Stdlib.incr rescored;
+      rescore cell
     end
   in
   let visit_net net =
@@ -309,17 +279,13 @@ let run ?(obs = Obs.noop) cfg st =
      could have changed (apply only touches counts of the moved cell's
      incident nets) — and compare against the cached op. The sweep only
      reads state, so an oracle run makes byte-identical decisions; it can
-     only abort. Cells marked dirty by the lazy mode are deliberately
-     stale and skipped. *)
+     only abort. A second epoch-stamp array dedupes the sweep as [stamp]
+     dedupes rescoring, so the check allocates nothing per cell. *)
+  let ostamp = if oracle then Array.make n (-1) else [||] in
   let oracle_check moved =
-    let seen = Hashtbl.create 64 in
     let check cell =
-      if
-        (not locked.(cell))
-        && (not dirty.(cell))
-        && not (Hashtbl.mem seen cell)
-      then begin
-        Hashtbl.add seen cell ();
+      if (not locked.(cell)) && ostamp.(cell) <> !epoch then begin
+        ostamp.(cell) <- !epoch;
         let had = op_mask.(cell) >= 0 in
         let cm = op_mask.(cell)
         and cg = op_gain.(cell)
@@ -343,10 +309,13 @@ let run ?(obs = Obs.noop) cfg st =
                !bm !bg !bt !bda !bdb)
       end
     in
-    let c = Hypergraph.cell hg moved in
-    Array.iter
-      (fun net -> Array.iter check hg.Hypergraph.net_cells.(net))
-      (Hypergraph.cell_nets c)
+    let nets = Hypergraph.cell_nets (Hypergraph.cell hg moved) in
+    for i = 0 to Array.length nets - 1 do
+      let cells = hg.Hypergraph.net_cells.(nets.(i)) in
+      for k = 0 to Array.length cells - 1 do
+        check cells.(k)
+      done
+    done
   in
   (* Trail of (cell, pre-move mask), preallocated: each cell is applied at
      most once per pass. *)
@@ -355,7 +324,6 @@ let run ?(obs = Obs.noop) cfg st =
   let one_pass () =
     Bucket.clear bucket;
     Array.fill locked 0 n false;
-    if lazy_gains then Array.fill dirty 0 n false;
     (* Inactive cells are pre-locked: they never enter the bucket, are
        never rescored (pass initialisation included) and never move, so a
        warm start pays per pass only for the blast radius it declared.

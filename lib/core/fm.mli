@@ -53,17 +53,6 @@ type config = {
           and the "score never worsens" contract holds). Defaults to
           [fun () -> false]; the default never changes behaviour. The
           service daemon points it at a cancel flag / deadline check. *)
-  gain_mode : [ `Eager | `Lazy ];
-      (** When to refresh the gains of cells invalidated by a move.
-          [`Eager] (the default) rescores each affected cell once per move
-          (epoch-deduplicated), keeping every bucket entry exact.
-          [`Lazy] defers: affected cells are only marked dirty and
-          rescored when the bucket scan first inspects them, which skips
-          rescoring cells that are never considered — at the price of an
-          inexact pick order (a dirty cell whose true gain {e rose} can be
-          passed over until inspected). Both modes are deterministic and
-          keep the per-pass rollback contract; only [`Eager] satisfies the
-          oracle invariant below. *)
   oracle : bool;
       (** Debugging mode: after every applied move, recompute from scratch
           the best op of every unlocked cell sharing a net with the moved
@@ -72,9 +61,7 @@ type config = {
           incrementally maintained op, failing loudly on any mismatch.
           Decisions are byte-identical to a non-oracle run; only the cost
           changes (roughly the pre-filtering engine's). Also forced
-          process-wide by the environment variable [FPGAPART_FM_ORACLE=1].
-          Meaningful with [`Eager] gains (lazy-dirty cells are stale by
-          design and skipped). *)
+          process-wide by the environment variable [FPGAPART_FM_ORACLE=1]. *)
   active : int -> bool;
       (** Move eligibility per cell. Cells for which it returns [false]
           are pre-locked at the start of every pass: never rescored, never
@@ -101,15 +88,14 @@ module Config : sig
     ?replication:[ `None | `Functional of int ] ->
     ?max_passes:int ->
     ?should_stop:(unit -> bool) ->
-    ?gain_mode:[ `Eager | `Lazy ] ->
     ?oracle:bool ->
     ?active:(int -> bool) ->
     area_ok:(int -> int -> bool) ->
     score:(Partition_state.t -> score) ->
     unit ->
     t
-  (** Defaults: [Cut], [`None], 12 passes, never stop, [`Eager] gains, no
-      oracle, every cell active. [area_ok] and [score] have no meaningful
+  (** Defaults: [Cut], [`None], 12 passes, never stop, no oracle, every
+      cell active. [area_ok] and [score] have no meaningful
       default — pick a scenario builder if you don't want to write them.
 
       Raises [Invalid_argument] on a non-positive [max_passes]: a budget
@@ -121,7 +107,6 @@ val balance_config :
   ?objective:objective ->
   ?replication:[ `None | `Functional of int ] ->
   ?max_passes:int ->
-  ?gain_mode:[ `Eager | `Lazy ] ->
   ?slack:float ->
   total_area:int ->
   unit ->

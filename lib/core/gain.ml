@@ -86,6 +86,10 @@ let functional_replication st cell ~threshold =
     !best
   end
 
+let flip current o =
+  if Bitvec.mem o current then Bitvec.remove o current
+  else Bitvec.add o current
+
 (* Candidate masks are generated each exactly once, so no dedupe pass (or
    allocation) is needed downstream. The collisions the old List.exists
    dedupe absorbed are structural and excluded at the source:
@@ -98,16 +102,15 @@ let functional_replication st cell ~threshold =
    The complement of a replicated mask differs from the current mask in
    every one of the m >= 2 output positions, so it never collides with a
    single-bit flip; and [empty]/[full] equal the complement only when the
-   cell is single-sided, in which case the replicated branch is dead. *)
+   cell is single-sided, in which case the replicated branch is dead.
+   Called once per rescore in the F-M hot loop, so it allocates nothing:
+   [flip] is top-level because a local closure over [current] would be
+   heap-allocated on every call. *)
 let iter_masks st ~replication cell ~f =
   let hg = Partition_state.hypergraph st in
   let c = Hypergraph.cell hg cell in
   let m = Array.length c.Hypergraph.outputs in
   let current = Partition_state.mask st cell in
-  let flip o =
-    if Bitvec.mem o current then Bitvec.remove o current
-    else Bitvec.add o current
-  in
   (* Whole-cell move / side swap of all outputs. *)
   let comp = Bitvec.complement m current in
   if not (Bitvec.equal comp current) then f comp;
@@ -116,7 +119,7 @@ let iter_masks st ~replication cell ~f =
        adjustment and un-replication are always allowed -- the threshold
        gates creating replicas, not removing them. *)
     for o = 0 to m - 1 do
-      f (flip o)
+      f (flip current o)
     done;
     if Bitvec.norm current <> 1 then f Bitvec.empty;
     if Bitvec.norm current <> m - 1 then f (Bitvec.full m)
@@ -128,7 +131,7 @@ let iter_masks st ~replication cell ~f =
     | `Functional threshold ->
         if m > 1 && Replication_potential.replicable ~threshold c then
           for o = 0 to m - 1 do
-            f (flip o)
+            f (flip current o)
           done
 
 let best_mask_change st ~replication cell =

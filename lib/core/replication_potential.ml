@@ -3,18 +3,16 @@ let of_supports supports =
   if m <= 1 then 0
   else begin
     (* An input contributes iff it appears in exactly one adjacency
-       vector. *)
-    let psi = ref 0 in
-    Array.iteri
-      (fun i a_i ->
-        let others =
-          Array.to_list supports
-          |> List.filteri (fun j _ -> j <> i)
-          |> List.fold_left Bitvec.union Bitvec.empty
-        in
-        psi := !psi + Bitvec.norm (Bitvec.diff a_i others))
-      supports;
-    !psi
+       vector, so psi is the number of pins seen exactly once: one pass
+       tracking the pins seen at least once and at least twice. No lists —
+       the F-M engine asks on every rescore of a multi-output cell. *)
+    let once = ref Bitvec.empty and twice = ref Bitvec.empty in
+    for i = 0 to m - 1 do
+      let a_i = supports.(i) in
+      twice := Bitvec.union !twice (Bitvec.inter !once a_i);
+      once := Bitvec.union !once a_i
+    done;
+    Bitvec.norm (Bitvec.diff !once !twice)
   end
 
 let of_cell (c : Hypergraph.cell) = of_supports c.Hypergraph.supports

@@ -29,37 +29,60 @@ type cell_spec = {
   s_supports : Bitvec.t array;
 }
 
-let sort_dedup arr =
-  let arr = Array.copy arr in
-  Array.sort compare arr;
-  let n = Array.length arr in
-  if n <= 1 then arr
-  else begin
-    let out = ref [] and count = ref 0 in
-    for i = n - 1 downto 0 do
-      if i = 0 || arr.(i) <> arr.(i - 1) then begin
-        out := arr.(i) :: !out;
-        incr count
-      end
-    done;
-    Array.of_list !out
-  end
+(* Build-time helpers. Hypergraphs are rebuilt for every k-way split, so
+   these run on arrays only: no lists, growable vectors or hash tables per
+   cell. *)
 
-let cell_nets c = sort_dedup (Array.append c.inputs c.outputs)
+(* Sort a fresh array in place and return its distinct values. *)
+let sort_uniq_in_place arr =
+  Array.sort Int.compare arr;
+  let n = Array.length arr in
+  let k = ref (min n 1) in
+  for i = 1 to n - 1 do
+    if arr.(i) <> arr.(!k - 1) then begin
+      arr.(!k) <- arr.(i);
+      incr k
+    end
+  done;
+  if !k = n then arr else Array.sub arr 0 !k
+
+(* Copy [src.(i)] for every bit [i] of [mask], ascending, into [dst] from
+   position [k]; returns the next free position. *)
+let fill_masked src (mask : Bitvec.t) dst k =
+  let k = ref k and i = ref 0 and rest = ref mask in
+  while !rest <> 0 do
+    if !rest land 1 <> 0 then begin
+      dst.(!k) <- src.(!i);
+      incr k
+    end;
+    rest := !rest lsr 1;
+    incr i
+  done;
+  !k
+
+(* Input pins the outputs in [out_mask] depend on. *)
+let support_union c (out_mask : Bitvec.t) =
+  let acc = ref Bitvec.empty and o = ref 0 and rest = ref out_mask in
+  while !rest <> 0 do
+    if !rest land 1 <> 0 then acc := Bitvec.union !acc c.supports.(!o);
+    rest := !rest lsr 1;
+    incr o
+  done;
+  !acc
 
 let connected_nets_uncached c ~out_mask =
   if Bitvec.is_empty out_mask then [||]
   else begin
-    let nets = Netlist.Vec.create () in
-    let in_mask = ref Bitvec.empty in
-    Bitvec.iter
-      (fun o ->
-        ignore (Netlist.Vec.push nets c.outputs.(o));
-        in_mask := Bitvec.union !in_mask c.supports.(o))
-      out_mask;
-    Bitvec.iter (fun i -> ignore (Netlist.Vec.push nets c.inputs.(i))) !in_mask;
-    sort_dedup (Netlist.Vec.to_array nets)
+    let in_mask = support_union c out_mask in
+    let nets = Array.make (Bitvec.norm out_mask + Bitvec.norm in_mask) 0 in
+    let k = fill_masked c.outputs out_mask nets 0 in
+    ignore (fill_masked c.inputs in_mask nets k);
+    sort_uniq_in_place nets
   end
+
+(* A validated cell's inputs each support some output, so its full-mask
+   connected nets are exactly its distinct incident nets. *)
+let cell_nets c = c.full_nets
 
 let connected_nets c ~out_mask =
   if out_mask >= 0 && out_mask < Array.length c.conn_cache then
@@ -71,25 +94,24 @@ let connected_nets c ~out_mask =
 let connected_nets_traditional c ~out_mask =
   if Bitvec.is_empty out_mask then [||]
   else begin
-    let nets = Netlist.Vec.create () in
-    Bitvec.iter (fun o -> ignore (Netlist.Vec.push nets c.outputs.(o))) out_mask;
-    Array.iter (fun n -> ignore (Netlist.Vec.push nets n)) c.inputs;
-    sort_dedup (Netlist.Vec.to_array nets)
+    let n_in = Array.length c.inputs in
+    let nets = Array.make (Bitvec.norm out_mask + n_in) 0 in
+    let k = fill_masked c.outputs out_mask nets 0 in
+    Array.blit c.inputs 0 nets k n_in;
+    sort_uniq_in_place nets
   end
 
 (* Cells with few outputs (every mapped CLB) get a per-mask memo table;
    every cell gets the full-mask entry. *)
 let fill_conn_cache c =
   let m = Array.length c.outputs in
-  let c =
-    { c with full_nets = connected_nets_uncached c ~out_mask:(Bitvec.full m) }
-  in
-  if m > 4 then c
+  let full = Bitvec.full m in
+  if m > 4 then { c with full_nets = connected_nets_uncached c ~out_mask:full }
   else begin
     let table =
       Array.init (1 lsl m) (fun mask -> connected_nets_uncached c ~out_mask:mask)
     in
-    { c with conn_cache = table }
+    { c with conn_cache = table; full_nets = table.(full) }
   end
 
 let check_cell ~num_nets c =
@@ -151,9 +173,9 @@ let validate h =
       in
       check_nets 0)
 
-let create ?net_names ~num_nets ~external_nets specs =
+let create_of_array ?net_names ~num_nets ~external_nets specs =
   let cells =
-    List.mapi
+    Array.mapi
       (fun id s ->
         fill_conn_cache
           {
@@ -170,7 +192,6 @@ let create ?net_names ~num_nets ~external_nets specs =
             full_nets = [||];
           })
       specs
-    |> Array.of_list
   in
   let net_external = Array.make num_nets false in
   List.iter
@@ -179,17 +200,21 @@ let create ?net_names ~num_nets ~external_nets specs =
         invalid_arg "Hypergraph.create: external net id out of range";
       net_external.(n) <- true)
     external_nets;
-  let net_cell_lists = Array.make num_nets [] in
-  Array.iter
-    (fun c ->
-      Array.iter
-        (fun n ->
-          if n >= 0 && n < num_nets then
-            match net_cell_lists.(n) with
-            | x :: _ when x = c.id -> ()
-            | l -> net_cell_lists.(n) <- c.id :: l)
-        (cell_nets c))
-    cells;
+  (* net -> cells, ascending cell id: count, then fill. Each cell's
+     full_nets is deduplicated, so a cell lands once per net. *)
+  let fill = Array.make num_nets 0 in
+  let each_incidence f =
+    Array.iter
+      (fun c ->
+        Array.iter (fun n -> if n >= 0 && n < num_nets then f c n) c.full_nets)
+      cells
+  in
+  each_incidence (fun _ n -> fill.(n) <- fill.(n) + 1);
+  let net_cells = Array.map (fun d -> Array.make d 0) fill in
+  Array.fill fill 0 num_nets 0;
+  each_incidence (fun c n ->
+      net_cells.(n).(fill.(n)) <- c.id;
+      fill.(n) <- fill.(n) + 1);
   let net_names =
     match net_names with
     | Some a ->
@@ -198,18 +223,13 @@ let create ?net_names ~num_nets ~external_nets specs =
         a
     | None -> Array.init num_nets (fun n -> Printf.sprintf "net%d" n)
   in
-  let h =
-    {
-      cells;
-      num_nets;
-      net_cells = Array.map (fun l -> Array.of_list (List.rev l)) net_cell_lists;
-      net_external;
-      net_names;
-    }
-  in
+  let h = { cells; num_nets; net_cells; net_external; net_names } in
   match validate h with
   | Ok () -> h
   | Error msg -> invalid_arg ("Hypergraph.create: " ^ msg)
+
+let create ?net_names ~num_nets ~external_nets specs =
+  create_of_array ?net_names ~num_nets ~external_nets (Array.of_list specs)
 
 let num_cells h = Array.length h.cells
 let cell h i = h.cells.(i)
@@ -241,20 +261,49 @@ let boundary h ~labels =
   flags
 
 let max_cell_degree h =
-  Array.fold_left (fun acc c -> max acc (Array.length (cell_nets c))) 0 h.cells
+  Array.fold_left (fun acc c -> max acc (Array.length c.full_nets)) 0 h.cells
 
 let pins h =
   Array.fold_left
     (fun acc c -> acc + Array.length c.inputs + Array.length c.outputs)
     0 h.cells
 
+(* [n] in the sorted array [nets]. *)
+let mem_sorted nets n =
+  let lo = ref 0 and hi = ref (Array.length nets) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if nets.(mid) < n then lo := mid + 1 else hi := mid
+  done;
+  !lo < Array.length nets && nets.(!lo) = n
+
+let touches cell m n =
+  (not (Bitvec.is_empty m)) && mem_sorted (connected_nets cell ~out_mask:m) n
+
+(* [v]'s bits renumbered to their rank among the bits of [within]
+   ([v] a subset of [within]): a support over the kept input pins, in the
+   dense pin numbering of the induced cell. *)
+let compress (v : Bitvec.t) (within : Bitvec.t) =
+  let acc = ref Bitvec.empty and rank = ref 0 and bit = ref 0 in
+  let rest = ref within in
+  while !rest <> 0 do
+    if !rest land 1 <> 0 then begin
+      if Bitvec.mem !bit v then acc := Bitvec.add !rank !acc;
+      incr rank
+    end;
+    rest := !rest lsr 1;
+    incr bit
+  done;
+  !acc
+
 (* Restrict to copies: each (cell id, out_mask) becomes a new cell carrying
    exactly those outputs and the inputs they depend on. A net becomes
    external when it was external before or when some incidence of the
    original hypergraph is not covered by the kept copies. *)
 let induce_copies h specs =
+  let specs = Array.of_list specs in
   let kept_mask = Array.make (num_cells h) Bitvec.empty in
-  List.iter
+  Array.iter
     (fun (id, m) ->
       if id < 0 || id >= num_cells h then
         invalid_arg "Hypergraph.induce_copies: cell id out of range";
@@ -266,85 +315,74 @@ let induce_copies h specs =
         invalid_arg "Hypergraph.induce_copies: duplicate cell";
       kept_mask.(id) <- m)
     specs;
-  (* Net renumbering: nets touched by kept copies survive. *)
+  (* Net renumbering: nets touched by kept copies survive, numbered in
+     first-touch order. *)
   let net_map = Array.make h.num_nets (-1) in
-  let new_nets = Netlist.Vec.create () in
-  let map_net n =
-    if net_map.(n) < 0 then
-      net_map.(n) <- Netlist.Vec.push new_nets n;
-    net_map.(n)
-  in
-  let specs = Array.of_list specs in
+  let old_of_new = Array.make h.num_nets 0 in
+  let num_new_nets = ref 0 in
   Array.iter
     (fun (id, m) ->
-      Array.iter
-        (fun n -> ignore (map_net n))
-        (connected_nets h.cells.(id) ~out_mask:m))
+      let nets = connected_nets h.cells.(id) ~out_mask:m in
+      for k = 0 to Array.length nets - 1 do
+        let n = nets.(k) in
+        if net_map.(n) < 0 then begin
+          net_map.(n) <- !num_new_nets;
+          old_of_new.(!num_new_nets) <- n;
+          incr num_new_nets
+        end
+      done)
     specs;
-  let num_new_nets = Netlist.Vec.length new_nets in
-  (* External detection: walk original incidences. *)
-  let external_flags = Array.make num_new_nets false in
-  for n = 0 to h.num_nets - 1 do
-    if net_map.(n) >= 0 then begin
-      let ext = ref h.net_external.(n) in
-      Array.iter
-        (fun cid ->
-          let cell = h.cells.(cid) in
-          let kept = kept_mask.(cid) in
-          let touches m =
-            (not (Bitvec.is_empty m))
-            && Array.exists (fun n' -> n' = n) (connected_nets cell ~out_mask:m)
-          in
-          (* The cell touches n (it is in net_cells). The net leaks outside
-             when the kept copy does not cover that incidence, or when the
-             dropped copy (the complement of the kept outputs, e.g. the
-             other half of a replicated cell) also touches it. *)
-          let dropped =
-            Bitvec.diff (Bitvec.full (Array.length cell.outputs)) kept
-          in
-          if (not (touches kept)) || touches dropped then ext := true)
-        h.net_cells.(n);
-      external_flags.(net_map.(n)) <- !ext
-    end
+  let num_new_nets = !num_new_nets in
+  (* External detection: walk original incidences. The cell touches n (it
+     is in net_cells). The net leaks outside when the kept copy does not
+     cover that incidence, or when the dropped copy (the complement of the
+     kept outputs, e.g. the other half of a replicated cell) also touches
+     it. *)
+  let externals = ref [] in
+  for k = num_new_nets - 1 downto 0 do
+    let n = old_of_new.(k) in
+    let ext = ref h.net_external.(n) in
+    let cells = h.net_cells.(n) in
+    let i = ref 0 in
+    while (not !ext) && !i < Array.length cells do
+      let cell = h.cells.(cells.(!i)) in
+      let kept = kept_mask.(cell.id) in
+      let dropped =
+        Bitvec.diff (Bitvec.full (Array.length cell.outputs)) kept
+      in
+      if (not (touches cell kept n)) || touches cell dropped n then ext := true;
+      incr i
+    done;
+    if !ext then externals := k :: !externals
   done;
   let new_specs =
-    Array.to_list specs
-    |> List.map (fun (id, m) ->
-           let c = h.cells.(id) in
-           let in_mask =
-             Bitvec.fold
-               (fun o acc -> Bitvec.union acc c.supports.(o))
-               m Bitvec.empty
-           in
-           let in_pins = Bitvec.to_list in_mask in
-           let new_index = Hashtbl.create 8 in
-           List.iteri (fun k p -> Hashtbl.add new_index p k) in_pins;
-           let s_inputs =
-             Array.of_list (List.map (fun p -> net_map.(c.inputs.(p))) in_pins)
-           in
-           let out_pins = Bitvec.to_list m in
-           let s_outputs =
-             Array.of_list (List.map (fun o -> net_map.(c.outputs.(o))) out_pins)
-           in
-           let s_supports =
-             Array.of_list
-               (List.map
-                  (fun o ->
-                    Bitvec.fold
-                      (fun p acc -> Bitvec.add (Hashtbl.find new_index p) acc)
-                      c.supports.(o) Bitvec.empty)
-                  out_pins)
-           in
-           { s_name = c.name; s_area = c.area; s_demand = c.demand;
-             s_inputs; s_outputs; s_supports })
+    Array.map
+      (fun (id, m) ->
+        let c = h.cells.(id) in
+        let in_mask = support_union c m in
+        let s_inputs = Array.make (Bitvec.norm in_mask) 0 in
+        ignore (fill_masked c.inputs in_mask s_inputs 0);
+        let s_outputs = Array.make (Bitvec.norm m) 0 in
+        ignore (fill_masked c.outputs m s_outputs 0);
+        let s_supports = Array.make (Bitvec.norm m) Bitvec.empty in
+        ignore (fill_masked c.supports m s_supports 0);
+        for k = 0 to Array.length s_inputs - 1 do
+          s_inputs.(k) <- net_map.(s_inputs.(k))
+        done;
+        for k = 0 to Array.length s_outputs - 1 do
+          s_outputs.(k) <- net_map.(s_outputs.(k));
+          s_supports.(k) <- compress s_supports.(k) in_mask
+        done;
+        { s_name = c.name; s_area = c.area; s_demand = c.demand;
+          s_inputs; s_outputs; s_supports })
+      specs
   in
   let net_names =
-    Array.init num_new_nets (fun k -> h.net_names.(Netlist.Vec.get new_nets k))
+    Array.init num_new_nets (fun k -> h.net_names.(old_of_new.(k)))
   in
-  let externals = ref [] in
-  Array.iteri (fun k e -> if e then externals := k :: !externals) external_flags;
   let h' =
-    create ~net_names ~num_nets:num_new_nets ~external_nets:!externals new_specs
+    create_of_array ~net_names ~num_nets:num_new_nets ~external_nets:!externals
+      new_specs
   in
   (h', specs)
 

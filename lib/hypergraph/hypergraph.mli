@@ -88,7 +88,9 @@ val max_cell_degree : t -> int
 (** Maximum number of distinct nets incident to one cell. *)
 
 val cell_nets : cell -> int array
-(** Distinct nets incident to a full copy of the cell (inputs + outputs). *)
+(** Distinct nets incident to a full copy of the cell (inputs + outputs),
+    ascending. This is the memoised [full_nets] array itself: shared, so
+    callers must not mutate it. *)
 
 val connected_nets : cell -> out_mask:Bitvec.t -> int array
 (** Distinct nets a {e partial} copy of the cell touches when it carries

@@ -133,10 +133,12 @@ let side_copies t side =
 (* Per-net contributions to the tracked counters. *)
 let cut_of ca cb = if ca > 0 && cb > 0 then 1 else 0
 
-let term_of ~ext ca cb =
-  let ta = if ca > 0 && (cb > 0 || ext) then 1 else 0 in
-  let tb = if cb > 0 && (ca > 0 || ext) then 1 else 0 in
-  (ta, tb)
+(* Terminal contribution of a net to the side holding [ch] of its
+   connections ([ct] on the other side): the side needs an IOB for it when
+   it connects and the net leaves the side (cut or external). Side B's is
+   [term_a_of ~ext cb ca]. An int, not a pair: scratch_totals calls it per
+   touched net per candidate. *)
+let term_a_of ~ext ch ct = if ch > 0 && (ct > 0 || ext) then 1 else 0
 
 let recompute t =
   let hg = t.hg in
@@ -157,10 +159,10 @@ let recompute t =
   done;
   let cut = ref 0 and term_a = ref 0 and term_b = ref 0 in
   for n = 0 to hg.Hypergraph.num_nets - 1 do
+    let ext = hg.Hypergraph.net_external.(n) in
     cut := !cut + cut_of ca.(n) cb.(n);
-    let ta, tb = term_of ~ext:hg.Hypergraph.net_external.(n) ca.(n) cb.(n) in
-    term_a := !term_a + ta;
-    term_b := !term_b + tb
+    term_a := !term_a + term_a_of ~ext ca.(n) cb.(n);
+    term_b := !term_b + term_a_of ~ext cb.(n) ca.(n)
   done;
   (!cut, !term_a, !term_b, !area_a, !area_b)
 
@@ -230,12 +232,11 @@ let create_with_masks ?(model = Functional) hg ~masks =
     end
   done;
   for n = 0 to hg.Hypergraph.num_nets - 1 do
-    t.cut <- t.cut + cut_of t.conn_a.(n) t.conn_b.(n);
-    let ta, tb =
-      term_of ~ext:hg.Hypergraph.net_external.(n) t.conn_a.(n) t.conn_b.(n)
-    in
-    t.term_a <- t.term_a + ta;
-    t.term_b <- t.term_b + tb
+    let ext = hg.Hypergraph.net_external.(n) in
+    let ca = t.conn_a.(n) and cb = t.conn_b.(n) in
+    t.cut <- t.cut + cut_of ca cb;
+    t.term_a <- t.term_a + term_a_of ~ext ca cb;
+    t.term_b <- t.term_b + term_a_of ~ext cb ca
   done;
   t
 
@@ -268,6 +269,67 @@ let copy t =
     sd = make_scratch ();
   }
 
+(* Everything from here to [apply] runs once per candidate in the F-M hot
+   loop, so it is top-level code over [t]: no local closures (without
+   flambda a closure capturing [t] is heap-allocated on every call) and no
+   tuple returns. *)
+let grow a = Array.append a (Array.make (max 32 (Array.length a)) 0)
+
+let push1 t n v =
+  if t.s1_len = Array.length t.s1_nets then begin
+    t.s1_nets <- grow t.s1_nets;
+    t.s1_d <- grow t.s1_d
+  end;
+  t.s1_nets.(t.s1_len) <- n;
+  t.s1_d.(t.s1_len) <- v;
+  t.s1_len <- t.s1_len + 1
+
+let push2 t n v =
+  if t.s2_len = Array.length t.s2_nets then begin
+    t.s2_nets <- grow t.s2_nets;
+    t.s2_d <- grow t.s2_d
+  end;
+  t.s2_nets.(t.s2_len) <- n;
+  t.s2_d.(t.s2_len) <- v;
+  t.s2_len <- t.s2_len + 1
+
+let push_side t side n v = match side with A -> push1 t n v | B -> push2 t n v
+
+(* Emit the symmetric difference of two sorted, deduplicated net arrays
+   into [side]'s stream: -1 for nets only in [removed], +1 for nets only
+   in [added], in ascending net order. *)
+let diff_sorted t side removed added =
+  let i = ref 0 and j = ref 0 in
+  let nr = Array.length removed and na = Array.length added in
+  while !i < nr || !j < na do
+    if !i >= nr then begin
+      push_side t side added.(!j) 1;
+      incr j
+    end
+    else if !j >= na then begin
+      push_side t side removed.(!i) (-1);
+      incr i
+    end
+    else if removed.(!i) = added.(!j) then begin
+      incr i;
+      incr j
+    end
+    else if removed.(!i) < added.(!j) then begin
+      push_side t side removed.(!i) (-1);
+      incr i
+    end
+    else begin
+      push_side t side added.(!j) 1;
+      incr j
+    end
+  done
+
+let push_merged t n da db =
+  t.s_nets.(t.s_len) <- n;
+  t.s_da.(t.s_len) <- da;
+  t.s_db.(t.s_len) <- db;
+  t.s_len <- t.s_len + 1
+
 (* Aggregate per-net connection deltas of a mask change into the scratch
    buffers: entries (net, da, db) with da/db in {-1, 0, +1}. Sorted-array
    merges over the old/new connected-net sets of each side; the handful of
@@ -276,61 +338,14 @@ let net_deltas t c new_mask =
   let cell = Hypergraph.cell t.hg c in
   let old_b = t.out_on_b.(c) in
   let full = full_mask t c in
-  let old_a = Bitvec.diff full old_b and new_a = Bitvec.diff full new_mask in
-  let nets_of m = conn_nets t cell ~out_mask:m in
-  let old_na = nets_of old_a and new_na = nets_of new_a in
-  let old_nb = nets_of old_b and new_nb = nets_of new_mask in
-  let grow a = Array.append a (Array.make (max 32 (Array.length a)) 0) in
   t.s1_len <- 0;
   t.s2_len <- 0;
-  let push1 n v =
-    if t.s1_len = Array.length t.s1_nets then begin
-      t.s1_nets <- grow t.s1_nets;
-      t.s1_d <- grow t.s1_d
-    end;
-    t.s1_nets.(t.s1_len) <- n;
-    t.s1_d.(t.s1_len) <- v;
-    t.s1_len <- t.s1_len + 1
-  in
-  let push2 n v =
-    if t.s2_len = Array.length t.s2_nets then begin
-      t.s2_nets <- grow t.s2_nets;
-      t.s2_d <- grow t.s2_d
-    end;
-    t.s2_nets.(t.s2_len) <- n;
-    t.s2_d.(t.s2_len) <- v;
-    t.s2_len <- t.s2_len + 1
-  in
-  let diff_sorted removed added on_removed on_added =
-    (* Both arrays sorted ascending and deduplicated; emissions are in
-       ascending net order. *)
-    let i = ref 0 and j = ref 0 in
-    let nr = Array.length removed and na = Array.length added in
-    while !i < nr || !j < na do
-      if !i >= nr then begin
-        on_added added.(!j);
-        incr j
-      end
-      else if !j >= na then begin
-        on_removed removed.(!i);
-        incr i
-      end
-      else if removed.(!i) = added.(!j) then begin
-        incr i;
-        incr j
-      end
-      else if removed.(!i) < added.(!j) then begin
-        on_removed removed.(!i);
-        incr i
-      end
-      else begin
-        on_added added.(!j);
-        incr j
-      end
-    done
-  in
-  diff_sorted old_na new_na (fun n -> push1 n (-1)) (fun n -> push1 n 1);
-  diff_sorted old_nb new_nb (fun n -> push2 n (-1)) (fun n -> push2 n 1);
+  diff_sorted t A
+    (conn_nets t cell ~out_mask:(Bitvec.diff full old_b))
+    (conn_nets t cell ~out_mask:(Bitvec.diff full new_mask));
+  diff_sorted t B
+    (conn_nets t cell ~out_mask:old_b)
+    (conn_nets t cell ~out_mask:new_mask);
   (* Merge the two sorted streams into (net, da, db) triples. *)
   t.s_len <- 0;
   let need = t.s1_len + t.s2_len in
@@ -340,36 +355,32 @@ let net_deltas t c new_mask =
     t.s_da <- Array.make size 0;
     t.s_db <- Array.make size 0
   end;
-  let out n da db =
-    t.s_nets.(t.s_len) <- n;
-    t.s_da.(t.s_len) <- da;
-    t.s_db.(t.s_len) <- db;
-    t.s_len <- t.s_len + 1
-  in
   let i = ref 0 and j = ref 0 in
   while !i < t.s1_len || !j < t.s2_len do
     if !i >= t.s1_len then begin
-      out t.s2_nets.(!j) 0 t.s2_d.(!j);
+      push_merged t t.s2_nets.(!j) 0 t.s2_d.(!j);
       incr j
     end
     else if !j >= t.s2_len then begin
-      out t.s1_nets.(!i) t.s1_d.(!i) 0;
+      push_merged t t.s1_nets.(!i) t.s1_d.(!i) 0;
       incr i
     end
     else if t.s1_nets.(!i) = t.s2_nets.(!j) then begin
-      out t.s1_nets.(!i) t.s1_d.(!i) t.s2_d.(!j);
+      push_merged t t.s1_nets.(!i) t.s1_d.(!i) t.s2_d.(!j);
       incr i;
       incr j
     end
     else if t.s1_nets.(!i) < t.s2_nets.(!j) then begin
-      out t.s1_nets.(!i) t.s1_d.(!i) 0;
+      push_merged t t.s1_nets.(!i) t.s1_d.(!i) 0;
       incr i
     end
     else begin
-      out t.s2_nets.(!j) 0 t.s2_d.(!j);
+      push_merged t t.s2_nets.(!j) 0 t.s2_d.(!j);
       incr j
     end
   done
+
+let exists m = if Bitvec.is_empty m then 0 else 1
 
 (* Fold the scratch net deltas into [out] (scratch must hold the deltas of
    changing cell [c] to [new_mask]). Writes fields in place — the F-M hot
@@ -379,18 +390,16 @@ let scratch_totals t c new_mask (out : scratch) =
   let cell = Hypergraph.cell t.hg c in
   let d_cut = ref 0 and d_ta = ref 0 and d_tb = ref 0 in
   for i = 0 to t.s_len - 1 do
-    let n = t.s_nets.(i) and da = t.s_da.(i) and db = t.s_db.(i) in
+    let n = t.s_nets.(i) in
     let ca = t.conn_a.(n) and cb = t.conn_b.(n) in
+    let ca' = ca + t.s_da.(i) and cb' = cb + t.s_db.(i) in
     let ext = t.hg.Hypergraph.net_external.(n) in
-    let ta0, tb0 = term_of ~ext ca cb in
-    let ta1, tb1 = term_of ~ext (ca + da) (cb + db) in
-    d_cut := !d_cut + cut_of (ca + da) (cb + db) - cut_of ca cb;
-    d_ta := !d_ta + ta1 - ta0;
-    d_tb := !d_tb + tb1 - tb0
+    d_cut := !d_cut + cut_of ca' cb' - cut_of ca cb;
+    d_ta := !d_ta + term_a_of ~ext ca' cb' - term_a_of ~ext ca cb;
+    d_tb := !d_tb + term_a_of ~ext cb' ca' - term_a_of ~ext cb ca
   done;
   let old_b = t.out_on_b.(c) in
   let full = full_mask t c in
-  let exists m = if Bitvec.is_empty m then 0 else 1 in
   out.sc_cut <- !d_cut;
   out.sc_term_a <- !d_ta;
   out.sc_term_b <- !d_tb;
@@ -450,7 +459,7 @@ let eval t c new_mask =
 (* Connection-count category: gains of candidate operations on a cell
    depend on an incident net's side counts only through min(count, 2),
    because any single-cell mask change shifts each side count by at most
-   one and every per-net contribution (cut_of / term_of) tests counts
+   one and every per-net contribution (cut_of / term_a_of) tests counts
    against 0 over a +-1 neighbourhood. A net whose categories are
    unchanged on both sides therefore leaves every neighbour's candidate
    deltas — hence its best op — untouched. *)

@@ -190,9 +190,10 @@ let num_dff c =
     0 c.nodes
 
 let find c name =
-  (* Circuits are immutable; build the index lazily would complicate the
-     type, and circuits are consulted by name only in tests and parsers, so
-     a scan is acceptable. *)
+  (* A linear scan: circuits carry no name index. Fine for one lookup
+     (the tests use it so); code that resolves every node by name must
+     build its own index or sort (name, index) pairs once, as
+     Service.Digest.canonical_circuit does, or it goes quadratic. *)
   let n = Array.length c.nodes in
   let rec loop i =
     if i >= n then None

@@ -69,7 +69,8 @@ val num_gates : t -> int
 
 val num_dff : t -> int
 val find : t -> string -> int option
-(** Look a node up by signal name (linear scan is avoided; O(1) expected). *)
+(** Look a node up by signal name. O(nodes): a linear scan, so never call
+    it once per node. *)
 
 val is_output : t -> int -> bool
 

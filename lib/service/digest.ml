@@ -8,47 +8,41 @@ module C = Netlist.Circuit
    read its own Q, so DFFs enter as placeholders and get wired after all
    nodes exist. *)
 let canonical_circuit c =
-  let names =
-    Array.to_list (Array.map (fun (n : C.node) -> n.C.name) c.C.nodes)
-    |> List.sort String.compare
+  let n = Array.length c.C.nodes in
+  (* Sort (name, index) pairs once: looking every name up with [C.find],
+     a linear scan, would make canonicalising quadratic. *)
+  let order =
+    Array.mapi (fun i (node : C.node) -> (node.C.name, i)) c.C.nodes
   in
+  Array.sort (fun (a, _) (b, _) -> String.compare a b) order;
   let b = C.Builder.create ~name:c.C.name () in
-  let ids = Hashtbl.create (Array.length c.C.nodes) in
+  let ids = Array.make n (-1) in
   let rec resolve old_id =
-    let node = C.node c old_id in
-    match Hashtbl.find_opt ids node.C.name with
-    | Some id -> id
-    | None ->
-        let id =
-          match node.C.kind with
-          | Netlist.Gate.Input -> C.Builder.input b node.C.name
-          | Netlist.Gate.Dff -> C.Builder.dff_placeholder b node.C.name
-          | kind ->
-              let fanins =
-                Array.to_list (Array.map resolve node.C.fanins)
-              in
-              C.Builder.gate b ~name:node.C.name kind fanins
-        in
-        Hashtbl.replace ids node.C.name id;
-        id
+    if ids.(old_id) >= 0 then ids.(old_id)
+    else begin
+      let node = C.node c old_id in
+      let id =
+        match node.C.kind with
+        | Netlist.Gate.Input -> C.Builder.input b node.C.name
+        | Netlist.Gate.Dff -> C.Builder.dff_placeholder b node.C.name
+        | kind ->
+            let fanins = Array.to_list (Array.map resolve node.C.fanins) in
+            C.Builder.gate b ~name:node.C.name kind fanins
+      in
+      ids.(old_id) <- id;
+      id
+    end
   in
-  List.iter
-    (fun name ->
-      match C.find c name with
-      | Some old_id -> ignore (resolve old_id)
-      | None -> assert false)
-    names;
-  Array.iter
-    (fun (node : C.node) ->
+  Array.iter (fun (_, old_id) -> ignore (resolve old_id)) order;
+  Array.iteri
+    (fun old_id (node : C.node) ->
       if Netlist.Gate.equal node.C.kind Netlist.Gate.Dff then
-        C.Builder.connect_dff b
-          (Hashtbl.find ids node.C.name)
-          (resolve node.C.fanins.(0)))
+        C.Builder.connect_dff b ids.(old_id) (resolve node.C.fanins.(0)))
     c.C.nodes;
   Array.to_list c.C.outputs
-  |> List.map (fun id -> (C.node c id).C.name)
-  |> List.sort String.compare
-  |> List.iter (fun name -> C.Builder.mark_output b (Hashtbl.find ids name));
+  |> List.map (fun id -> ((C.node c id).C.name, id))
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.iter (fun (_, id) -> C.Builder.mark_output b ids.(id));
   C.Builder.finish b
 
 let md5_hex s = Stdlib.Digest.to_hex (Stdlib.Digest.string s)

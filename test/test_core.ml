@@ -33,6 +33,33 @@ let test_psi_single_output () =
   checki "single output" 0
     (Replication_potential.of_supports [| Bitvec.of_list [ 0; 1; 2; 3 ] |])
 
+let qcheck_psi_matches_eq4 =
+  (* Eq. (4) term by term, as the reference: output i's private pins are
+     its support minus the union of every other output's. *)
+  let eq4 supports =
+    let m = Array.length supports in
+    if m <= 1 then 0
+    else begin
+      let psi = ref 0 in
+      for i = 0 to m - 1 do
+        let others = ref Bitvec.empty in
+        for j = 0 to m - 1 do
+          if j <> i then others := Bitvec.union !others supports.(j)
+        done;
+        psi := !psi + Bitvec.norm (Bitvec.diff supports.(i) !others)
+      done;
+      !psi
+    end
+  in
+  QCheck.Test.make ~name:"psi = eq. 4 on random supports" ~count:300
+    QCheck.(pair small_int (int_range 1 6))
+    (fun (seed, m) ->
+      let rng = Netlist.Rng.create (seed + 3) in
+      let supports =
+        Array.init m (fun _ -> Netlist.Rng.int rng (Bitvec.full 8 + 1))
+      in
+      Replication_potential.of_supports supports = eq4 supports)
+
 let test_psi_disjoint_and_identical () =
   checki "disjoint supports: all inputs private" 4
     (Replication_potential.of_supports
@@ -553,29 +580,44 @@ let qcheck_incremental_gains_exact =
       done;
       !ok)
 
-let test_fm_lazy_gain_mode () =
-  (* `Lazy defers rescoring to bucket-pop time: a deliberately inexact
-     pick order, but deterministic, consistent, and still never worse
-     than the initial state. *)
-  let h = mapped_hypergraph (Netlist.Generator.alu ~bits:8 ()) in
-  let total = Hypergraph.total_area h in
-  let cfg =
-    Fm.balance_config ~replication:(`Functional 0) ~gain_mode:`Lazy
-      ~total_area:total ()
-  in
-  let st = Fm.random_state (Netlist.Rng.create 5) h in
-  let cut0 = Partition_state.cut st in
-  let _, cut, _ = Fm.run cfg st in
-  checkb "lazy mode improves the cut" true (cut <= cut0);
-  checkb "lazy mode leaves a consistent state" true
-    (Result.is_ok (Partition_state.check_consistency st));
-  let st2 = Fm.random_state (Netlist.Rng.create 5) h in
-  let _, cut2, _ = Fm.run cfg st2 in
-  checki "lazy mode deterministic (cut)" cut cut2;
-  for c = 0 to Hypergraph.num_cells h - 1 do
-    if not (Bitvec.equal (Partition_state.mask st c) (Partition_state.mask st2 c))
-    then Alcotest.failf "lazy mode nondeterministic at cell %d" c
-  done
+(* Words this domain allocated so far: minor + major - promoted (promoted
+   words sit in both). [Gc.minor_words] reads the live minor-heap pointer;
+   on OCaml 5 the minor counts of [Gc.counters] and [Gc.quick_stat] only
+   advance at minor collections, so a run that allocates little reads 0
+   there. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+let test_fm_allocation_per_move () =
+  (* The F-M engine's inner loops run on preallocated arrays: rescoring,
+     candidate evaluation and bucket scans allocate nothing, leaving
+     per-run setup and a few small records per applied op. A
+     deterministic work gate, not a timing one: applied ops come from a
+     counting run under a collecting sink, words from an identical run
+     under the no-op sink. *)
+  List.iter
+    (fun name ->
+      let e = Option.get (Experiments.Suite.find name) in
+      let h = Lazy.force e.Experiments.Suite.hypergraph in
+      let cfg =
+        Fm.balance_config ~replication:(`Functional 0)
+          ~total_area:(Hypergraph.total_area h) ()
+      in
+      let obs = Obs.create () in
+      ignore (Fm.run ~obs cfg (Fm.random_state (Netlist.Rng.create 1) h));
+      let applied =
+        List.assoc "fm.applied_ops" (Obs.snapshot obs).Obs.Snapshot.counters
+      in
+      let st = Fm.random_state (Netlist.Rng.create 1) h in
+      let w0 = allocated_words () in
+      ignore (Fm.run cfg st);
+      let words = allocated_words () -. w0 in
+      let per_op = words /. float_of_int (max 1 applied) in
+      if per_op > 32.0 then
+        Alcotest.failf "%s: %.1f words allocated per applied op (%d ops)" name
+          per_op applied)
+    [ "c6288"; "s38584" ]
 
 let test_fm_oracle_mode_identical () =
   (* Oracle mode recomputes every affected cell's best op from scratch
@@ -1309,6 +1351,7 @@ let () =
           Alcotest.test_case "Fig. 2 psi" `Quick test_psi_fig2;
           Alcotest.test_case "single output" `Quick test_psi_single_output;
           Alcotest.test_case "edge supports" `Quick test_psi_disjoint_and_identical;
+          qc qcheck_psi_matches_eq4;
           Alcotest.test_case "distribution + r_T" `Quick test_distribution;
           Alcotest.test_case "threshold gate" `Quick test_replicable_threshold;
         ] );
@@ -1347,7 +1390,8 @@ let () =
             test_fm_replication_reduces_cut_on_clustered;
           qc qcheck_fm_leaves_consistent_state;
           qc qcheck_incremental_gains_exact;
-          Alcotest.test_case "lazy gain mode" `Quick test_fm_lazy_gain_mode;
+          Alcotest.test_case "allocation per applied op" `Quick
+            test_fm_allocation_per_move;
           Alcotest.test_case "oracle mode identical" `Quick
             test_fm_oracle_mode_identical;
           qc qcheck_fm_oracle_never_trips;

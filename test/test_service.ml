@@ -150,6 +150,59 @@ let test_digest_permutation_invariant () =
         (reindex out1 out2 row1 = r2.(cycle)))
     r1
 
+(* Every signal renamed to its reversed name (injective, and it reorders
+   the sorted-name sequence canonicalisation walks). *)
+let rename_bench text =
+  let rev s =
+    let n = String.length s in
+    String.init n (fun i -> s.[n - 1 - i])
+  in
+  let fresh s = rev (String.trim s) ^ "_r" in
+  let inside l =
+    let i = String.index l '(' and j = String.rindex l ')' in
+    String.sub l (i + 1) (j - i - 1)
+  in
+  let rename l =
+    if String.trim l = "" || l.[0] = '#' then l
+    else
+      match String.index_opt l '=' with
+      | None ->
+          Printf.sprintf "%s(%s)" (String.sub l 0 (String.index l '('))
+            (fresh (inside l))
+      | Some eq ->
+          let rhs = String.sub l (eq + 1) (String.length l - eq - 1) in
+          let kind = String.trim (String.sub rhs 0 (String.index rhs '(')) in
+          let args = List.map fresh (String.split_on_char ',' (inside l)) in
+          Printf.sprintf "%s = %s(%s)"
+            (fresh (String.sub l 0 eq))
+            kind (String.concat ", " args)
+  in
+  String.concat "\n" (List.map rename (String.split_on_char '\n' text))
+
+let test_digest_scale_job_key () =
+  (* A scale-generator netlist (several thousand nodes: canonicalising
+     must not be quadratic) keeps its job key under line permutation,
+     with its own names and renamed. Names are content, so renaming alone
+     changes the key. *)
+  let c =
+    Netlist.Generator.scale
+      { Netlist.Generator.default_scale with sc_gates = 12_000 }
+  in
+  let text = Netlist.Bench_format.to_string c in
+  let key text =
+    Service.Digest.job_key ~library:Fpga.Library.xc3000
+      ~options:(Core.Kway.Options.make ())
+      (Techmap.Mapper.to_hypergraph
+         (Techmap.Mapper.map
+            (Service.Digest.canonical_circuit (parse_ok text))))
+  in
+  let renamed = rename_bench text in
+  let k = key text and k_renamed = key renamed in
+  checks "line-permuted copy, same key" k (key (permute_bench text));
+  checks "renamed line-permuted copy, same key as renamed" k_renamed
+    (key (permute_bench renamed));
+  checkb "renaming changes the key" true (k <> k_renamed)
+
 let test_digest_options () =
   let base = Core.Kway.Options.make ~runs:3 ~seed:9 () in
   let same_but_jobs = { base with Core.Kway.jobs = 8 } in
@@ -1094,6 +1147,8 @@ let () =
         [
           Alcotest.test_case "permutation invariant" `Quick
             test_digest_permutation_invariant;
+          Alcotest.test_case "scale netlist job key" `Quick
+            test_digest_scale_job_key;
           Alcotest.test_case "options fingerprint" `Quick test_digest_options;
         ] );
       ( "protocol",
